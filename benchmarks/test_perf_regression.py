@@ -219,7 +219,7 @@ class TestSpectralBatchGate:
         freqs[3] = np.inf
         freqs[11] = np.nan
         freqs[19] = -np.inf
-        reference = analyzer.psd_sweep(freqs)
+        reference = analyzer.psd_sweep(freqs, solver="mft")
         spectral = analyzer.psd_sweep(freqs, solver="spectral-batch")
         assert np.array_equal(np.isnan(spectral.psd),
                               np.isnan(reference.psd))
@@ -308,7 +308,7 @@ class TestAttributionGates:
 
     def test_headline_budget_conserves(self):
         analyzer, freqs = self._analyzer()
-        for solver in (None, "spectral-batch"):
+        for solver in ("mft", "spectral-batch"):
             result = analyzer.psd_sweep(freqs, solver=solver,
                                         attribute_sources=True)
             result.budget.check_conservation()
@@ -602,6 +602,8 @@ class TestChaosGates:
         # Count the seam invocations of a real sweep (by patching the
         # seam at every import site), then require count x the unit
         # cost of a disabled fire() < 2% of the unpatched sweep wall.
+        # The per-ω path fires a seam per frequency, the batched default
+        # one per chunk, so the per-ω sweep is the worst case gated.
         from repro.linalg import checked
         from repro.mft import engine as engine_mod
         from repro.mft import executor as executor_mod
@@ -625,7 +627,7 @@ class TestChaosGates:
         clear_sweep_contexts()
         analyzer = MftNoiseAnalyzer(
             system, segments_per_phase=workload.segments_per_phase)
-        analyzer.psd_sweep(freqs, chunk_size=self.CHUNK)
+        analyzer.psd_sweep(freqs, chunk_size=self.CHUNK, solver="mft")
         monkeypatch.undo()
         assert events["n"] >= freqs.size
 
@@ -633,7 +635,7 @@ class TestChaosGates:
         analyzer = MftNoiseAnalyzer(
             system, segments_per_phase=workload.segments_per_phase)
         t0 = time.perf_counter()
-        analyzer.psd_sweep(freqs, chunk_size=self.CHUNK)
+        analyzer.psd_sweep(freqs, chunk_size=self.CHUNK, solver="mft")
         wall = time.perf_counter() - t0
 
         reps = 100000

@@ -103,9 +103,12 @@ class NoiseAnalysis:
             solver=None, attribute_sources=False, **solver_options):
         """Averaged double-sided PSD of the selected output, in V²/Hz.
 
-        ``solver`` picks the engine by name — ``"mft"`` (default),
-        ``"spectral-batch"``, ``"brute-force"``, or ``"monte-carlo"`` —
-        with identical result conventions; unknown names raise
+        ``solver`` picks the engine by name — ``"spectral-batch"`` (the
+        frequency-batched kernel, and the default: ``None``), ``"mft"``
+        (the per-ω reference, and what ``None`` means on an analysis
+        built with ``cache=False``), ``"brute-force"``, or
+        ``"monte-carlo"`` — with identical result conventions; unknown
+        names raise
         :class:`~repro.errors.ReproError` listing the choices.
         ``solver_options`` are forwarded to the delegate engines
         (e.g. ``tol_db=`` for brute force, ``n_trajectories=`` for
@@ -147,9 +150,10 @@ class NoiseAnalysis:
         ``parallel="thread"`` or ``"process"`` runs independent
         frequency chunks concurrently (``max_workers`` workers) with the
         same values, failure semantics, and diagnostics as :meth:`psd`.
-        ``solver="spectral-batch"`` evaluates each chunk as one ω-block
-        through the frequency-batched spectral kernel
-        (:mod:`repro.mft.spectral`); the delegate solvers
+        The default solver (``None`` or ``"spectral-batch"``) evaluates
+        each chunk as one ω-block through the frequency-batched spectral
+        kernel (:mod:`repro.mft.spectral`); ``solver="mft"`` sweeps each
+        chunk per frequency, the reference path; the delegate solvers
         (``"brute-force"``, ``"monte-carlo"``) accept only
         ``parallel=None`` or ``"serial"``.
 

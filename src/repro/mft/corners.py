@@ -208,8 +208,8 @@ class CornerBatchAnalyzer:
         for local, (f, m) in enumerate(zip(freqs, corners)):
             reason = budget.exceeded()
             if reason is not None:
-                _record_budget_failures(freqs, int(local), reason,
-                                        failures, report)
+                _record_budget_failures(freqs, range(local, len(freqs)),
+                                        reason, failures, report)
                 break
             self._solve_cell(int(local), float(f), int(m), values,
                              failures, attempts_log, on_failure, budget,
@@ -267,7 +267,8 @@ class CornerBatchAnalyzer:
         attempts_log: "list[Any]" = []
         reason = budget.exceeded()
         if reason is not None:
-            _record_budget_failures(freqs, 0, reason, failures, report)
+            _record_budget_failures(freqs, range(len(freqs)), reason,
+                                    failures, report)
             return values, failures, attempts_log
         corners, _freq_idx = self._cells(len(freqs), start)
         finite_mask = np.isfinite(freqs)

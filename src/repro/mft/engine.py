@@ -125,9 +125,12 @@ class MftNoiseAnalyzer:
         wall-clock seconds) applied to every :meth:`psd` sweep.
     cache:
         ``True`` (default) draws the frequency-independent work from the
-        shared :class:`~repro.mft.context.SweepContext` registry and
-        solves through its fast path; ``False`` recomputes everything
-        locally through the reference solver (the pre-cache behaviour).
+        shared :class:`~repro.mft.context.SweepContext` registry, and
+        ``solver=None`` sweeps through the frequency-batched spectral
+        kernel over it.  ``False`` recomputes everything locally through
+        the reference solver: the analyzer has no sweep context, so it
+        is the reference oracle and its ``solver=None`` resolves to the
+        per-ω ``"mft"`` path (``"spectral-batch"`` is rejected).
     context:
         An explicit :class:`~repro.mft.context.SweepContext` to draw
         from (its ``segments_per_phase`` takes precedence). Lets several
@@ -394,8 +397,8 @@ class MftNoiseAnalyzer:
         for idx, f in enumerate(freqs):
             reason = budget.exceeded()
             if reason is not None:
-                _record_budget_failures(freqs, idx, reason, failures,
-                                        report)
+                _record_budget_failures(freqs, range(idx, freqs.size),
+                                        reason, failures, report)
                 break
             if not np.isfinite(f):
                 exc = ReproError(
@@ -442,7 +445,8 @@ class MftNoiseAnalyzer:
         fixed point) are rerun individually through the reference
         fallback chain, so their attempt records and failures are
         exactly the per-ω path's.  The budget gates the block as a
-        whole (dispatch semantics, matching the executor's chunk gate).
+        whole (dispatch semantics, matching the executor's chunk gate)
+        and then each per-ω rescue.
         ``start`` (the chunk offset) is accepted for sweep-callable
         signature compatibility and unused here.
         """
@@ -460,7 +464,8 @@ class MftNoiseAnalyzer:
                          else (freqs.size, width), np.nan)
         reason = budget.exceeded()
         if reason is not None:
-            _record_budget_failures(freqs, 0, reason, failures, report)
+            _record_budget_failures(freqs, range(freqs.size), reason,
+                                    failures, report)
             return values, failures, attempts_log
         finite_mask = np.isfinite(freqs)
         for idx in np.nonzero(~finite_mask)[0]:
@@ -523,7 +528,14 @@ class MftNoiseAnalyzer:
                 f"spectral kernel solved {int(np.sum(ok))} of "
                 f"{finite_idx.size} frequencies in one batch",
                 n_batched=int(np.sum(ok)), n_rescued=len(rescue_idx))
-        for idx in rescue_idx:
+        for pos, idx in enumerate(rescue_idx):
+            # Rescues can be costly (refinement, brute force), so the
+            # budget gates each one, as on the per-ω path.
+            reason = budget.exceeded()
+            if reason is not None:
+                _record_budget_failures(freqs, rescue_idx[pos:], reason,
+                                        failures, report)
+                break
             f = freqs[idx]
             try:
                 with rec.span("mft.solve", frequency=float(f),
@@ -575,10 +587,12 @@ class MftNoiseAnalyzer:
         ``budget``-stage failures.
 
         ``solver`` picks the engine by name — one of
-        :data:`repro.noise.solvers.SOLVERS` (``"mft"`` the default,
-        ``"spectral-batch"`` the frequency-batched kernel,
+        :data:`repro.noise.solvers.SOLVERS`: ``"spectral-batch"`` the
+        frequency-batched kernel and the default (``None``), solving the
+        whole grid as one ω-block; ``"mft"`` the per-ω reference, and
+        what ``None`` means for an analyzer built with ``cache=False``;
         ``"brute-force"`` and ``"monte-carlo"`` the baselines, with
-        extra ``solver_options`` forwarded to the delegate). The
+        extra ``solver_options`` forwarded to the delegate. The
         Monte-Carlo solver defines its own Welch frequency grid, so it
         requires ``frequencies=None``.
         """
@@ -586,7 +600,7 @@ class MftNoiseAnalyzer:
             raise ReproError(
                 f"on_failure must be 'record' or 'raise', "
                 f"got {on_failure!r}")
-        solver = resolve_solver(solver)
+        solver = resolve_solver(solver, cached=self._context is not None)
         if solver in ("brute-force", "monte-carlo"):
             return self._delegate_solver(solver, frequencies,
                                          budget=budget,
@@ -663,15 +677,16 @@ class MftNoiseAnalyzer:
         ``solver`` is the unified engine selector
         (:data:`repro.noise.solvers.SOLVERS`):
 
-        * ``"mft"`` (default, also reachable as ``None``) — the
-          per-frequency fallback-chain sweep;
-        * ``"spectral-batch"`` — each chunk becomes one ω-block through
-          the frequency-batched spectral kernel
-          (:mod:`repro.mft.spectral`): eigenbases once per segment
-          group, all frequencies of the block at once.  Values agree
-          with the per-ω path to ≤ 1e-9 relative with identical NaN
-          masks and failure records; requires the shared sweep context
-          (``cache=True`` or an explicit ``context=``);
+        * ``"spectral-batch"`` (the default, ``None``) — each chunk
+          becomes one ω-block through the frequency-batched spectral
+          kernel (:mod:`repro.mft.spectral`): eigenbases once per
+          segment group, all frequencies of the block at once.  Values
+          agree with the per-ω path to ≤ 1e-9 relative with identical
+          NaN masks and failure records; requires the shared sweep
+          context (``cache=True`` or an explicit ``context=``);
+        * ``"mft"`` — the per-frequency fallback-chain sweep, the per-ω
+          reference; ``None`` resolves to it on an analyzer built with
+          ``cache=False``;
         * ``"brute-force"`` / ``"monte-carlo"`` — delegate to the
           baseline engines (serial only; extra ``solver_options`` are
           forwarded).
@@ -698,7 +713,7 @@ class MftNoiseAnalyzer:
         warm workers instead of spawning a pool per call; requires a
         concurrent ``parallel=`` backend.
         """
-        solver = resolve_solver(solver)
+        solver = resolve_solver(solver, cached=self._context is not None)
         if solver in ("brute-force", "monte-carlo"):
             if parallel not in (None, "serial"):
                 raise ReproError(
@@ -1028,21 +1043,22 @@ def finalize_sweep_values(analyzer, freqs, values, report, solver=None):
     return raw_total, clipped, contribution
 
 
-def _record_budget_failures(freqs, start_idx, reason, failures, report):
-    """Mark every frequency from ``start_idx`` on as budget-failed."""
+def _record_budget_failures(freqs, indices, reason, failures, report):
+    """Mark the frequencies at ``indices`` as budget-failed."""
+    indices = [int(k) for k in indices]
     # scn: ignore[SCN008] - this loop IS the budget-exhaustion
     # bookkeeping: it only records the already-made budget decision
-    for k in range(start_idx, freqs.size):
+    for k in indices:
         failures.append(FrequencyFailure(
             frequency=float(freqs[k]), index=k, stage="budget",
             error="BudgetExceededError", message=reason))
     report.error(
         "budget-exhausted",
-        f"sweep budget spent before {freqs.size - start_idx} of "
+        f"sweep budget spent before {len(indices)} of "
         f"{freqs.size} frequencies: {reason}",
-        skipped=freqs.size - start_idx, reason=reason)
+        skipped=len(indices), reason=reason)
     logger.warning("sweep budget spent: skipping %d frequencies (%s)",
-                   freqs.size - start_idx, reason)
+                   len(indices), reason)
 
 
 def mft_psd(system, frequencies, segments_per_phase=64, output_row=0,

@@ -62,9 +62,15 @@ import time
 import numpy as np
 
 from ..diagnostics.budget import as_budget
-from ..diagnostics.report import DiagnosticsReport, FrequencyFailure
+from ..diagnostics.report import (
+    DiagnosticsReport,
+    Finding,
+    FrequencyFailure,
+    Severity,
+)
 from ..errors import ReproError
 from ..noise.result import PsdResult, worst_negative_psd
+from ..noise.solvers import resolve_solver
 from ..obs import span_summary
 from ..resilience.checkpoint import SweepCheckpoint
 from ..resilience.faults import (
@@ -89,9 +95,9 @@ _DEFAULT_CHUNK = 8
 #: per-block trace recursion and stacked solves across more frequencies.
 _DEFAULT_SPECTRAL_CHUNK = 64
 
-#: ``None`` and ``"mft"`` are the same per-frequency reference sweep —
-#: ``"mft"`` is the unified-API spelling (:mod:`repro.noise.solvers`).
-#: ``"param-batch"`` is the corner-sweep analyzer's flattened
+#: The sweep-executor solvers: ``None`` resolves through
+#: :func:`repro.noise.solvers.resolve_solver` like every other entry
+#: point.  ``"param-batch"`` is the corner-sweep analyzer's flattened
 #: (param, freq)-axis solver (:mod:`repro.mft.corners`); it is reached
 #: through :func:`repro.mft.corners.corner_psd_sweep`, not the unified
 #: solver registry.
@@ -104,6 +110,48 @@ _BATCHED_SOLVERS = ("spectral-batch", "param-batch")
 
 def _default_workers():
     return max(1, (os.cpu_count() or 1))
+
+
+def _fold_block_findings(findings):
+    """Make the batched kernel's per-block findings sweep-level.
+
+    Every ω-block of a batched sweep reports one ``spectral-batch``
+    INFO finding, and a block over a system with defective eigenbases
+    one ``spectral-defective-basis`` warning; left alone, a sweep's
+    findings would depend on its chunk size.  The ``spectral-batch``
+    findings fold into one at the place of the first, with
+    ``n_batched``/``n_rescued`` summed and every other data field kept
+    where all blocks agree; repeated identical defective-basis warnings
+    are dropped.
+    """
+    blocks = [f for f in findings if f.code == "spectral-batch"]
+    folded = None
+    if len(blocks) > 1:
+        data = {key: value for key, value in blocks[0].data.items()
+                if all(f.data.get(key) == value for f in blocks)}
+        n_batched = sum(int(f.data["n_batched"]) for f in blocks)
+        n_rescued = sum(int(f.data["n_rescued"]) for f in blocks)
+        data.update(n_batched=n_batched, n_rescued=n_rescued)
+        folded = Finding(
+            code="spectral-batch", severity=Severity.INFO,
+            message=(f"batched kernel solved {n_batched} of "
+                     f"{n_batched + n_rescued} points; {n_rescued} "
+                     "rescued through the per-frequency chain"),
+            data=data)
+    out = []
+    seen_defective = []
+    for finding in findings:
+        if finding.code == "spectral-batch" and folded is not None:
+            if finding is blocks[0]:
+                out.append(folded)
+            continue
+        if finding.code == "spectral-defective-basis":
+            signature = (finding.message, repr(finding.data))
+            if signature in seen_defective:
+                continue
+            seen_defective.append(signature)
+        out.append(finding)
+    return out
 
 
 def _positive_int(name, value, default, minimum=1):
@@ -309,10 +357,11 @@ class SweepExecutor:
         chunks give the budget gate finer granularity; larger chunks
         amortise dispatch overhead.
     solver:
-        ``None`` (default) sweeps each chunk through the per-frequency
-        fallback chain; ``"spectral-batch"`` evaluates each chunk as
-        one ω-block through :mod:`repro.mft.spectral` (requires the
-        analyzer's shared sweep context).
+        ``"spectral-batch"`` (the default, ``None``) evaluates each
+        chunk as one ω-block through :mod:`repro.mft.spectral`
+        (requires the analyzer's shared sweep context); ``"mft"``
+        sweeps each chunk through the per-frequency fallback chain, the
+        reference path.
     retry:
         Chunk-retry policy: ``None``/``True`` for the default
         :class:`~repro.resilience.retry.RetryPolicy`, ``False`` to
@@ -344,8 +393,9 @@ class SweepExecutor:
                 f"unknown sweep solver {solver!r}; expected one of "
                 f"{_SOLVERS}")
         self.backend = backend
-        self.solver = None if solver == "mft" else solver
-        solver = self.solver
+        if solver != "param-batch":
+            solver = resolve_solver(solver)
+        self.solver = solver
         self.max_workers = _positive_int("max_workers", max_workers,
                                          _default_workers())
         default_chunk = (_DEFAULT_SPECTRAL_CHUNK
@@ -406,8 +456,7 @@ class SweepExecutor:
                         else None)
         t0 = time.perf_counter()
         with rec.span("mft.sweep", backend=self.backend,
-                      solver=self.solver or "mft",
-                      n=int(freqs.size)):
+                      solver=self.solver, n=int(freqs.size)):
             with rec.span("mft.warmup"):
                 analyzer.warm_up()
                 if self.solver in _BATCHED_SOLVERS:
@@ -446,8 +495,7 @@ class SweepExecutor:
                     freqs, state, budget, report,
                     width=analyzer.value_width)
             raw_total, clipped, contribution = finalize_sweep_values(
-                analyzer, freqs, values, report,
-                solver=self.solver or "mft")
+                analyzer, freqs, values, report, solver=self.solver)
         runtime = time.perf_counter() - t0
         if rec.enabled:
             rec.count("executor.chunks_dispatched",
@@ -528,7 +576,7 @@ class SweepExecutor:
             "output_row": int(analyzer.output_row),
             "grid_sha256": grid.hexdigest(),
             "n_points": int(freqs.size),
-            "solver": self.solver or "mft",
+            "solver": self.solver,
             "chunk_size": int(self.chunk_size),
             "on_failure": str(on_failure),
             "value_width": int(analyzer.value_width),
@@ -792,5 +840,6 @@ class SweepExecutor:
             logger.warning(
                 "sweep budget spent: %d chunks not dispatched "
                 "(%d frequencies)", len(state.skipped), n_skipped)
+        report.findings = _fold_block_findings(report.findings)
         failures.sort(key=lambda failure: failure.index)
         return values, failures, attempts

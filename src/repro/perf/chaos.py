@@ -36,14 +36,18 @@ from .workloads import (
     workload_by_name,
 )
 
-#: Fraction of per-frequency solves the chaos plan fails transiently.
+#: Fraction of batched ω-block solves the chaos plan fails transiently.
 TRANSIENT_RATE = 0.2
 
 
 def _chaos_plan(seed: int, crash_chunk: int) -> FaultPlan:
-    """The standard chaos mix: 20% transient solves + one worker crash."""
+    """The standard chaos mix: 20% transient solves + one worker crash.
+
+    The transient faults hit ``mft.batch``, the seam of the default
+    (batched) sweep, once per ω-block.
+    """
     return FaultPlan([
-        FaultSpec("mft.solve", "transient", rate=TRANSIENT_RATE),
+        FaultSpec("mft.batch", "transient", rate=TRANSIENT_RATE),
         FaultSpec("executor.chunk", "crash",
                   match={"chunk": crash_chunk}),
     ], seed=seed)

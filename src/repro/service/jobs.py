@@ -77,6 +77,8 @@ class JobHandle:
     :meth:`repro.service.queue.JobQueue.progress` (or direct reads)
     observe live progress.  ``wait`` blocks on the terminal event and
     re-raises job failures as :class:`~repro.errors.ReproError`.
+    ``mark`` is the recorder position at submission, where the job's
+    own spans begin.
     """
 
     id: str
@@ -86,6 +88,7 @@ class JobHandle:
     status: JobStatus = JobStatus.PENDING
     result: "JobResult | None" = None
     error: "str | None" = None
+    mark: int = field(default=0, repr=False)
     _done: threading.Event = field(default_factory=threading.Event,
                                    repr=False)
 

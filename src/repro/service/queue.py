@@ -85,10 +85,16 @@ class JobQueue:
         self._ids = itertools.count(1)
         self._cond = threading.Condition()
         self._todo: "collections.deque[JobHandle]" = collections.deque()
-        self._handles: "dict[str, JobHandle]" = {}
-        self._marks: "dict[str, int]" = {}
+        #: The job the dispatcher is running (``None`` between jobs).
+        self._running: "JobHandle | None" = None
         self._closed = False
         self._worker: "threading.Thread | None" = None
+        #: Job counters.  Written by the caller thread (submit, cancel)
+        #: and the dispatcher thread, always under ``_cond`` and in the
+        #: same locked step as the queue change they count, so that
+        #: ``submitted == served_from_store + computed + failed +
+        #: cancelled + pending`` holds in every :meth:`telemetry`
+        #: snapshot.
         self.counters = {"submitted": 0, "served_from_store": 0,
                          "computed": 0, "failed": 0, "cancelled": 0,
                          "stored": 0}
@@ -113,21 +119,19 @@ class JobQueue:
         rec = recorder if recorder is not None else Recorder()
         key = job_key(spec)
         handle = JobHandle(id=f"job-{next(self._ids):04d}", spec=spec,
-                           key=key, recorder=rec)
-        self._handles[handle.id] = handle
-        self._marks[handle.id] = rec.mark()
-        self.counters["submitted"] += 1
+                           key=key, recorder=rec, mark=rec.mark())
         stored = self.store.get(key)
-        if stored is not None:
-            self.counters["served_from_store"] += 1
-            handle._finish(JobStatus.DONE, JobResult(
-                job_id=handle.id, key=key, served_from_store=True,
-                runtime_seconds=0.0, result=stored))
-            return handle
         with self._cond:
-            self._todo.append(handle)
-            self._ensure_worker()
-            self._cond.notify()
+            self.counters["submitted"] += 1
+            if stored is None:
+                self._todo.append(handle)
+                self._ensure_worker()
+                self._cond.notify()
+                return handle
+            self.counters["served_from_store"] += 1
+        handle._finish(JobStatus.DONE, JobResult(
+            job_id=handle.id, key=key, served_from_store=True,
+            runtime_seconds=0.0, result=stored))
         return handle
 
     def submit_batch(self, specs: "list[JobSpec]") -> "list[JobHandle]":
@@ -167,7 +171,7 @@ class JobQueue:
                 self._todo.remove(handle)
             except ValueError:
                 return False
-        self.counters["cancelled"] += 1
+            self.counters["cancelled"] += 1
         handle._finish(JobStatus.CANCELLED)
         return True
 
@@ -180,7 +184,7 @@ class JobQueue:
         ``chunks_done`` ticks up while the job runs.
         """
         rec = handle.recorder
-        since = self._marks.get(handle.id, 0)
+        since = handle.mark
         spans = rec.spans[since:] if rec.enabled else []
         chunks_done = sum(1 for span in spans
                           if span.name == "executor.chunk"
@@ -195,15 +199,28 @@ class JobQueue:
     # -- telemetry -----------------------------------------------------------
 
     def telemetry(self) -> "dict[str, Any]":
-        """Queue, store, and pool counters in one JSON-ready dict."""
+        """Queue, store, and pool counters in one JSON-ready dict.
+
+        ``jobs["pending"]`` counts the jobs queued or running, so the
+        snapshot conserves ``submitted == served_from_store + computed
+        + failed + cancelled + pending``.
+        """
+        jobs = self._job_counts()
         return {
             "backend": self.backend,
-            "jobs": dict(self.counters),
+            "jobs": jobs,
             "n_pending": len(self._todo),
             "store": self.store.telemetry(),
             "pool": (None if self.pool is None
                      else self.pool.telemetry()),
         }
+
+    def _job_counts(self) -> "dict[str, int]":
+        """One consistent snapshot of the counters plus ``pending``."""
+        with self._cond:
+            jobs = dict(self.counters)
+            jobs["pending"] = len(self._todo) + (self._running is not None)
+        return jobs
 
     # -- dispatcher ----------------------------------------------------------
 
@@ -220,30 +237,45 @@ class JobQueue:
                     self._cond.wait()
                 if self._closed and not self._todo:
                     return
-                handle = self._todo.popleft()
-            # Re-check the store at dequeue time: a duplicate that was
-            # submitted while its twin was still pending hits here,
-            # since FIFO order guarantees the twin already finished.
-            stored = self.store.get(handle.key)
-            if stored is not None:
-                self.counters["served_from_store"] += 1
-                handle._finish(JobStatus.DONE, JobResult(
-                    job_id=handle.id, key=handle.key,
-                    served_from_store=True, runtime_seconds=0.0,
-                    result=stored))
-                continue
-            handle.status = JobStatus.RUNNING
-            try:
-                result = self._execute(handle)
-            except Exception as exc:  # scn: ignore[SCN002]
-                # Service boundary: a failed job must report through
-                # its handle, never kill the dispatcher thread.
-                self.counters["failed"] += 1
-                handle._finish(JobStatus.FAILED,
-                               error=f"{type(exc).__name__}: {exc}")
-            else:
-                self.counters["computed"] += 1
-                handle._finish(JobStatus.DONE, result)
+                self._running = self._todo.popleft()
+            # Served in a call of its own, so that no local of this loop
+            # keeps a finished job alive while the dispatcher waits.
+            self._serve(self._running)
+
+    def _serve(self, handle: JobHandle) -> None:
+        # Re-check the store at dequeue time: a duplicate that was
+        # submitted while its twin was still pending hits here,
+        # since FIFO order guarantees the twin already finished.
+        stored = self.store.get(handle.key)
+        if stored is not None:
+            self._count_finished("served_from_store")
+            handle._finish(JobStatus.DONE, JobResult(
+                job_id=handle.id, key=handle.key,
+                served_from_store=True, runtime_seconds=0.0,
+                result=stored))
+            return
+        handle.status = JobStatus.RUNNING
+        try:
+            result = self._execute(handle)
+        except Exception as exc:  # scn: ignore[SCN002]
+            # Service boundary: a failed job must report through
+            # its handle, never kill the dispatcher thread.
+            self._count_finished("failed")
+            handle._finish(JobStatus.FAILED,
+                           error=f"{type(exc).__name__}: {exc}")
+        else:
+            self._count_finished("computed")
+            handle._finish(JobStatus.DONE, result)
+
+    def _count_finished(self, outcome: str) -> None:
+        """Count the running job's outcome and clear the running slot.
+
+        Done before the handle's terminal event is set, so a caller
+        woken by ``wait`` already sees the job counted.
+        """
+        with self._cond:
+            self.counters[outcome] += 1
+            self._running = None
 
     def _execute(self, handle: JobHandle) -> JobResult:
         from ..analysis.api import NoiseAnalysis
@@ -268,7 +300,8 @@ class JobQueue:
         runtime = time.perf_counter() - t0
         if getattr(result, "n_failed", 1) == 0:
             self.store.put(handle.key, result)
-            self.counters["stored"] += 1
+            with self._cond:
+                self.counters["stored"] += 1
         return JobResult(job_id=handle.id, key=handle.key,
                          served_from_store=False,
                          runtime_seconds=runtime, result=result)
@@ -292,6 +325,7 @@ class JobQueue:
         self.close()
 
     def __repr__(self) -> str:
+        jobs = self._job_counts()
         return (f"JobQueue(backend={self.backend!r}, "
-                f"{self.counters['submitted']} submitted, "
-                f"{len(self._todo)} pending)")
+                f"{jobs['submitted']} submitted, "
+                f"{jobs['pending']} pending)")

@@ -27,6 +27,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import ReproError
+from ..noise.solvers import resolve_solver
 
 _ON_FAILURE = ("record", "raise")
 
@@ -46,10 +47,11 @@ class JobSpec:
     frequencies: Any
     segments_per_phase: int = 64
     output_row: int = 0
-    #: ``None``/``"mft"`` or ``"spectral-batch"`` — the sweep-executor
-    #: solvers.  The delegated baselines are not servable (their results
-    #: are stochastic or convergence-gated, so content addressing would
-    #: lie about bit-identity).
+    #: ``None`` (the default engine, see :attr:`resolved_solver`),
+    #: ``"spectral-batch"`` or ``"mft"`` — the sweep-executor solvers.
+    #: The delegated baselines are not servable (their results are
+    #: stochastic or convergence-gated, so content addressing would lie
+    #: about bit-identity).
     solver: "str | None" = None
     attribute_sources: Any = False
     # -- execution knobs (not part of the content address) ------------------
@@ -80,11 +82,26 @@ class JobSpec:
                 "gated); submit solver='mft' or 'spectral-batch'")
         self.segments_per_phase = int(self.segments_per_phase)
         self.output_row = int(self.output_row)
+        # An unknown solver name fails here, not when the job runs.
+        resolve_solver(self.solver)
+
+    @property
+    def resolved_solver(self) -> str:
+        """The registry name the job's sweep runs under.
+
+        Resolved exactly as the analysis resolves it: ``None`` is the
+        batched kernel unless ``analysis_options`` build an analyzer
+        without a sweep context (``cache=False`` and no ``context=``).
+        """
+        options = self.analysis_options
+        cached = (bool(options.get("cache", True))
+                  or options.get("context") is not None)
+        return resolve_solver(self.solver, cached=cached)
 
     def describe(self) -> str:
         name = self.label or type(self.model_or_system).__name__
         return (f"{name}: {self.frequencies.size} frequencies, "
-                f"solver={self.solver or 'mft'}")
+                f"solver={self.resolved_solver}")
 
 
 def _attribution_token(attribute_sources: Any) -> Any:
@@ -118,7 +135,7 @@ def job_key(spec: JobSpec) -> str:
         "grid_sha256": grid.hexdigest(),
         "n_points": int(spec.frequencies.size),
         "output_row": int(spec.output_row),
-        "solver": spec.solver or "mft",
+        "solver": spec.resolved_solver,
         "attribute_sources": _attribution_token(spec.attribute_sources),
         "family": getattr(spec.model_or_system, "family_hash", None),
     }

@@ -23,6 +23,7 @@ import json
 import os
 import pathlib
 import sqlite3
+import tempfile
 import threading
 from typing import Any
 
@@ -148,9 +149,11 @@ class MemoryResultStore(ResultStore):
 class DirectoryResultStore(ResultStore):
     """One ``<key>.json`` per entry plus an insertion-order index.
 
-    Both the payloads and the index are written to a temp file and
-    ``os.replace``'d, so a crash mid-write never leaves a torn entry
-    (the same discipline as :mod:`repro.resilience.checkpoint`).
+    Both the payloads and the index are written to a uniquely named
+    temp file in the same directory and ``os.replace``'d, so a crash
+    mid-write never leaves a torn entry and concurrent writers never
+    share a temp file (the same discipline as
+    :mod:`repro.resilience.checkpoint`).
     """
 
     def __init__(self, path: Any, limit: "int | None" = None) -> None:
@@ -177,10 +180,17 @@ class DirectoryResultStore(ResultStore):
             return [str(k) for k in json.load(handle)]
 
     def _atomic_write(self, path: pathlib.Path, blob: str) -> None:
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
+        # A unique temp name per write: two stores (or processes) on
+        # one directory never write into each other's temp file.
+        fd, tmp = tempfile.mkstemp(dir=self.path, prefix=f".{path.stem}.",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(blob)
+            os.replace(tmp, path)
+        finally:
+            # No-op once replaced; drops the temp file of a failed write.
+            pathlib.Path(tmp).unlink(missing_ok=True)
 
     def _save_index(self, index: "list[str]") -> None:
         self._atomic_write(self._index_path, json.dumps(index))

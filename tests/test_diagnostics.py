@@ -1,6 +1,7 @@
 """Solver guardrails: preflight, fallback chain, budgets, error paths."""
 
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -253,7 +254,9 @@ class TestMftGuardrails:
             return real(self, frequency, **kwargs)
 
         monkeypatch.setattr(MftNoiseAnalyzer, "_psd_at", flaky)
-        result = analyzer.psd([1e3, bad, 8e3])
+        # _psd_at is the per-ω reference solve; the batched default
+        # reaches it only as a rescue (see the batched-seam test below).
+        result = analyzer.psd([1e3, bad, 8e3], solver="mft")
         assert result.n_failed == 1
         assert np.isnan(result.psd[1])
         assert np.all(np.isfinite(result.psd[[0, 2]]))
@@ -264,6 +267,67 @@ class TestMftGuardrails:
         assert list(ok_f) == [1e3, 8e3]
         assert np.all(ok_v > 0.0)
 
+    def test_batched_rejection_rescued_per_frequency(self, rc_system,
+                                                     monkeypatch):
+        """The default batched sweep reruns a rejected ω per frequency.
+
+        The batched solve is told to reject one frequency; its per-ω
+        rescue then fails too, so that bin alone becomes NaN with a
+        solve-stage failure, while the others keep their batched values.
+        """
+        from repro.mft.context import SweepContext
+
+        analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16,
+                                    fallback=False)
+        bad = 2e3
+        reference = analyzer.psd([1e3, bad, 8e3])
+        real_batched = SweepContext.solve_batched
+
+        def rejecting(self, omegas, *args, **kwargs):
+            batch = real_batched(self, omegas, *args, **kwargs)
+            batch.ok = batch.ok & (omegas != 2.0 * np.pi * bad)
+            return batch
+
+        def failing(self, frequency, **kwargs):
+            raise SingularMatrixError("injected failure")
+
+        monkeypatch.setattr(SweepContext, "solve_batched", rejecting)
+        monkeypatch.setattr(MftNoiseAnalyzer, "_psd_at", failing)
+        result = analyzer.psd([1e3, bad, 8e3])
+        assert result.info["solver"] == "spectral-batch"
+        assert [(f.index, f.stage) for f in result.failures] == [
+            (1, "solve")]
+        assert np.isnan(result.psd[1])
+        assert result.psd[[0, 2]].tobytes() \
+            == reference.psd[[0, 2]].tobytes()
+        finding = result.diagnostics.by_code("spectral-batch")[0]
+        assert (finding.data["n_batched"], finding.data["n_rescued"]) \
+            == (2, 1)
+
+    def test_budget_gates_each_batched_rescue(self, rc_system,
+                                              monkeypatch):
+        # cond(I − M) >= 1, so a sub-unity limit sends every frequency
+        # of the batched default to the per-ω rescue; each rescue takes
+        # longer than the budget, so only the first one runs.
+        policy = FallbackPolicy(condition_limit=0.5,
+                                enable_refinement=False,
+                                enable_brute_force=False)
+        analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16,
+                                    fallback=policy)
+        real = MftNoiseAnalyzer._psd_at
+
+        def slow(self, frequency, **kwargs):
+            time.sleep(0.3)
+            return real(self, frequency, **kwargs)
+
+        monkeypatch.setattr(MftNoiseAnalyzer, "_psd_at", slow)
+        result = analyzer.psd([1e3, 2e3, 4e3, 8e3],
+                              budget=SweepBudget(wall_clock_seconds=0.2))
+        assert np.isfinite(result.psd[0])
+        assert [(f.index, f.stage) for f in result.failures] == [
+            (1, "budget"), (2, "budget"), (3, "budget")]
+        assert result.diagnostics.by_code("budget-exhausted")
+
     def test_on_failure_raise(self, rc_system, monkeypatch):
         analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16, fallback=False)
 
@@ -272,7 +336,7 @@ class TestMftGuardrails:
 
         monkeypatch.setattr(MftNoiseAnalyzer, "_psd_at", boom)
         with pytest.raises(FallbackExhausted) as excinfo:
-            analyzer.psd([1e3], on_failure="raise")
+            analyzer.psd([1e3], on_failure="raise", solver="mft")
         assert excinfo.value.diagnostics is not None
 
     def test_sweep_budget_records_skipped_frequencies(self, rc_system):
@@ -290,7 +354,7 @@ class TestMftGuardrails:
             return -2.5e-18 if frequency == 1e3 else 1e-18
 
         monkeypatch.setattr(MftNoiseAnalyzer, "_psd_at", negative)
-        result = analyzer.psd([1e3, 5e3])
+        result = analyzer.psd([1e3, 5e3], solver="mft")
         assert result.psd[0] == 0.0
         assert result.info["negative_clipped"] == 1
         assert result.info["worst_negative_psd"] == pytest.approx(-2.5e-18)

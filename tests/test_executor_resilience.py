@@ -49,7 +49,8 @@ def _sweep(analyzer, grid, backend, **kwargs):
     executor = SweepExecutor(backend=backend, chunk_size=CHUNK,
                              max_workers=kwargs.pop("max_workers"),
                              retry=kwargs.pop("retry", None),
-                             faults=kwargs.pop("faults", None))
+                             faults=kwargs.pop("faults", None),
+                             solver=kwargs.pop("solver", None))
     return executor.run(analyzer, grid, **kwargs)
 
 
@@ -127,8 +128,9 @@ class TestTransientRecovery:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_transient_faults_recover_bit_identical(self, analyzer,
                                                     grid, backend):
+        # "mft.batch" is the seam of the default (batched) sweep.
         reference = _sweep(analyzer, grid, backend)
-        plan = FaultPlan([FaultSpec("mft.solve", "transient",
+        plan = FaultPlan([FaultSpec("mft.batch", "transient",
                                     rate=0.4)], seed=5)
         faulted = _sweep(analyzer, grid, backend, faults=plan)
         meta = faulted.info["executor"]
@@ -137,6 +139,20 @@ class TestTransientRecovery:
         _assert_bit_identical(reference, faulted,
                               f"{backend} transient recovery")
         assert faulted.diagnostics.by_code("chunk-retry")
+
+    def test_transient_faults_recover_on_reference_path(self, analyzer,
+                                                        grid):
+        # "mft.solve" is the per-frequency seam of solver="mft".
+        reference = _sweep(analyzer, grid, "serial", solver="mft")
+        plan = FaultPlan([FaultSpec("mft.solve", "transient",
+                                    rate=0.4)], seed=5)
+        faulted = _sweep(analyzer, grid, "serial", faults=plan,
+                         solver="mft")
+        meta = faulted.info["executor"]
+        assert meta["n_retries"] > 0, "plan injected nothing"
+        assert meta["n_chunks_failed"] == 0
+        _assert_bit_identical(reference, faulted,
+                              "serial transient recovery (mft)")
 
     def test_retry_disabled_degrades_to_nan(self, analyzer, grid):
         plan = FaultPlan([FaultSpec("executor.chunk", "transient",

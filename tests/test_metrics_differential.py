@@ -47,7 +47,7 @@ def sweeps():
     period = analysis.system.period
     freqs = np.linspace(0.02 / period, 0.40 / period, 16)
     return {
-        "mft": analysis.psd(freqs),
+        "mft": analysis.psd(freqs, solver="mft"),
         "spectral-batch": analysis.psd(freqs, solver="spectral-batch"),
         "brute-force": analysis.psd(freqs, solver="brute-force",
                                     tol_db=0.5),

@@ -70,7 +70,7 @@ class TestBatchedSolveEquivalence:
         analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16)
         freqs = np.linspace(100.0, 30e3, 40)
         _assert_spectral_equivalent(
-            analyzer.psd_sweep(freqs),
+            analyzer.psd_sweep(freqs, solver="mft"),
             analyzer.psd_sweep(freqs, solver="spectral-batch"))
 
     def test_sc_lowpass_matches_reference(self, lowpass_model):
@@ -78,7 +78,7 @@ class TestBatchedSolveEquivalence:
                                     segments_per_phase=16)
         freqs = np.linspace(100.0, 12e3, 48)
         _assert_spectral_equivalent(
-            analyzer.psd_sweep(freqs),
+            analyzer.psd_sweep(freqs, solver="mft"),
             analyzer.psd_sweep(freqs, solver="spectral-batch"))
 
     def test_injected_nonfinite_frequencies(self, rc_system):
@@ -87,7 +87,7 @@ class TestBatchedSolveEquivalence:
         freqs[2] = np.inf
         freqs[9] = np.nan
         freqs[17] = -np.inf
-        reference = analyzer.psd_sweep(freqs)
+        reference = analyzer.psd_sweep(freqs, solver="mft")
         spectral = analyzer.psd_sweep(freqs, solver="spectral-batch")
         _assert_spectral_equivalent(reference, spectral)
         assert [r[1] for r in _failure_records(spectral)] == ["input"] * 3
@@ -103,7 +103,7 @@ class TestBatchedSolveEquivalence:
                                     fallback=policy)
         freqs = np.linspace(100.0, 30e3, 8)
         _assert_spectral_equivalent(
-            analyzer.psd_sweep(freqs),
+            analyzer.psd_sweep(freqs, solver="mft"),
             analyzer.psd_sweep(freqs, solver="spectral-batch"))
 
     def test_parallel_spectral_matches_serial_spectral(self, rc_system):
@@ -211,10 +211,14 @@ class TestDefectiveEigenbasisFallback:
         system = _jordan_system()
         analyzer = MftNoiseAnalyzer(system, segments_per_phase=8)
         freqs = np.linspace(1e3, 40e3, 16)
-        reference = analyzer.psd_sweep(freqs)
+        reference = analyzer.psd_sweep(freqs, solver="mft")
         spectral = analyzer.psd_sweep(freqs, solver="spectral-batch")
         _assert_spectral_equivalent(reference, spectral)
         findings = [f for f in spectral.info["diagnostics"].findings
                     if f.code == "spectral-defective-basis"]
         assert findings, "defective fallback must be surfaced"
         assert all(f.severity.name == "WARNING" for f in findings)
+        # One warning per sweep, not one per ω-block.
+        chunked = analyzer.psd_sweep(freqs, chunk_size=4)
+        assert len(chunked.diagnostics.by_code(
+            "spectral-defective-basis")) == len(findings)

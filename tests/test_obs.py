@@ -297,8 +297,13 @@ class TestEngineInvariants:
         rec = Recorder()
         analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=16,
                                     recorder=rec)
-        analyzer.psd(self.GRID)
+        # One mft.solve_seconds sample per ω is the per-ω path's
+        # contract; the batched default records none (no rescues).
+        analyzer.psd(self.GRID, solver="mft")
         assert rec.counters["sweep.frequencies"] == self.GRID.size
+        assert len(rec.histograms["mft.solve_seconds"]) == self.GRID.size
+        analyzer.psd(self.GRID)
+        assert rec.counters["sweep.frequencies"] == 2 * self.GRID.size
         assert len(rec.histograms["mft.solve_seconds"]) == self.GRID.size
 
     def test_report_timeline_attached(self, rc_system):

@@ -209,9 +209,19 @@ class TestCacheKeyProperties:
         clear_sweep_contexts()
         context = sweep_context_for(rc_system, 32)
         analyzer = MftNoiseAnalyzer(rc_system, segments_per_phase=32, context=context)
-        analyzer.psd(np.linspace(100.0, 4e4, 5))
+        grid = np.linspace(100.0, 4e4, 5)
+        # The per-ω path reuses the cache once per frequency.
+        analyzer.psd(grid, solver="mft")
         stats = context.stats.to_dict()
         # One cold build per cached quantity, then hits on every reuse.
         assert stats["misses"].get("covariance") == 1
         assert stats["misses"].get("structure") == 1
         assert stats["total_hits"] > stats["total_misses"]
+        # A batched (default) sweep of the warm context builds only the
+        # group eigenbases, once; a second one builds nothing.
+        analyzer.psd(grid)
+        warm = context.stats.to_dict()
+        analyzer.psd(grid)
+        again = context.stats.to_dict()
+        assert again["misses"] == warm["misses"]
+        assert again["total_hits"] > warm["total_hits"]

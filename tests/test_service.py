@@ -11,6 +11,8 @@ stored artifact a later hit could serve as clean.
 """
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -84,7 +86,7 @@ class TestJobKey:
         {"frequencies": GRID * 1.01},
         {"segments_per_phase": SPP * 2},
         {"output_row": 1},
-        {"solver": "spectral-batch"},
+        {"solver": "mft"},
         {"attribute_sources": True},
     ])
     def test_sensitive_to_everything_that_changes_values(
@@ -467,3 +469,162 @@ class TestJobResultExports:
         text = path.read_text() if hasattr(path, "read_text") else \
             open(path).read()
         assert "frequency_hz" in text
+
+
+class TestDefaultSolverKey:
+    def test_default_and_spectral_batch_share_a_key(self, rc_system):
+        default = JobSpec(rc_system, GRID, segments_per_phase=SPP)
+        batched = JobSpec(rc_system, GRID, segments_per_phase=SPP,
+                          solver="spectral-batch")
+        reference = JobSpec(rc_system, GRID, segments_per_phase=SPP,
+                            solver="mft")
+        assert default.resolved_solver == "spectral-batch"
+        assert job_key(default) == job_key(batched)
+        assert job_key(default) != job_key(reference)
+        assert "solver=spectral-batch" in default.describe()
+
+    def test_uncached_default_keys_as_the_reference(self, rc_system):
+        # cache=False analyses run solver=None per ω, so they share the
+        # explicit "mft" key and never the batched one.
+        uncached = JobSpec(rc_system, GRID, segments_per_phase=SPP,
+                           analysis_options={"cache": False})
+        reference = JobSpec(rc_system, GRID, segments_per_phase=SPP,
+                            solver="mft")
+        assert uncached.resolved_solver == "mft"
+        assert job_key(uncached) == job_key(reference)
+
+    def test_unknown_solver_rejected_at_construction(self, rc_system):
+        with pytest.raises(ReproError, match="unknown solver"):
+            JobSpec(rc_system, GRID, solver="simplex")
+
+    def test_old_default_entry_not_served_to_new_default(self, spec,
+                                                         rc_system):
+        # The per-ω default used to key its results with solver "mft":
+        # such an entry must not be served to a batched-default job.
+        old_default = JobSpec(rc_system, GRID, segments_per_phase=SPP,
+                              solver="mft")
+        store = MemoryResultStore()
+        with JobQueue(store=store) as queue:
+            old = queue.submit(old_default).wait(timeout=120.0)
+            assert old.key in store
+            new = queue.submit(spec)
+            served = new.wait(timeout=120.0)
+        assert not served.served_from_store
+        assert served.key != old.key
+        assert _sweep_spans(new.recorder)
+        assert served.result.info["executor"]["solver"] == "spectral-batch"
+
+
+class TestQueueBookkeeping:
+    @staticmethod
+    def _conserved(jobs):
+        return jobs["submitted"] == (
+            jobs["served_from_store"] + jobs["computed"] + jobs["failed"]
+            + jobs["cancelled"] + jobs["pending"])
+
+    def test_finished_handles_are_not_retained(self, spec, rc_system):
+        import gc
+        import weakref
+
+        with JobQueue() as queue:
+            computed = queue.submit(spec)
+            computed.wait(timeout=120.0)
+            served = queue.submit(
+                JobSpec(rc_system, GRID, segments_per_phase=SPP))
+            assert served.wait(timeout=120.0).served_from_store
+            refs = [weakref.ref(computed), weakref.ref(served)]
+            del computed, served
+            # The dispatcher may still be returning from the job.
+            for _ in range(200):
+                gc.collect()
+                if all(ref() is None for ref in refs):
+                    break
+                time.sleep(0.01)
+            assert all(ref() is None for ref in refs), (
+                "the queue keeps finished job handles alive")
+
+    def test_counters_conserve_under_concurrent_callers(self, rc_system):
+        n_threads, per_thread = 3, 6
+        handles, snapshots, errors = [], [], []
+        lock = threading.Lock()
+        clear_sweep_contexts()
+        queue = JobQueue()
+        stop = threading.Event()
+
+        def client(seed):
+            try:
+                for k in range(per_thread):
+                    # Every third job repeats a grid: a store hit or an
+                    # in-flight duplicate.
+                    n = 2 + (k % 3 if k % 3 else seed)
+                    handle = queue.submit(JobSpec(
+                        rc_system, np.linspace(100.0, 4e4, n),
+                        segments_per_phase=SPP))
+                    if k % 4 == 1:
+                        queue.cancel(handle)
+                    with lock:
+                        handles.append(handle)
+            except Exception as exc:  # reported by the asserts below
+                errors.append(exc)
+
+        def monitor():
+            while not stop.is_set():
+                snapshots.append(queue.telemetry()["jobs"])
+
+        watcher = threading.Thread(target=monitor)
+        watcher.start()
+        clients = [threading.Thread(target=client, args=(seed,))
+                   for seed in range(n_threads)]
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120.0)
+            for handle in handles:
+                if handle.status is not JobStatus.CANCELLED:
+                    handle.wait(timeout=120.0)
+        finally:
+            stop.set()
+            watcher.join(timeout=10.0)
+            queue.close()
+        assert not errors
+        final = queue.telemetry()["jobs"]
+        assert final["submitted"] == n_threads * per_thread
+        assert final["pending"] == 0
+        assert final["cancelled"] == sum(
+            h.status is JobStatus.CANCELLED for h in handles)
+        assert snapshots
+        bad = [jobs for jobs in snapshots + [final]
+               if not self._conserved(jobs)]
+        assert not bad, f"counters did not conserve: {bad[:3]}"
+
+    def test_concurrent_writers_of_one_key_never_tear(self, tmp_path):
+        from repro.analysis.api import NoiseAnalysis
+        from repro.circuits import switched_rc_system
+
+        result = NoiseAnalysis(switched_rc_system(),
+                               segments_per_phase=SPP).psd(GRID[:3])
+        path = tmp_path / "shared"
+        # Four stores on one directory stand in for four processes: they
+        # share no lock, only the file system.
+        stores = [DirectoryResultStore(path) for _ in range(4)]
+        key = "cd" * 32
+        errors = []
+
+        def writer(store):
+            try:
+                for _ in range(60):
+                    store.put(key, result)
+            except Exception as exc:  # reported by the asserts below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(store,))
+                   for store in stores]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not errors, errors
+        back = stores[0].get(key)
+        assert back.psd.tobytes() == result.psd.tobytes()
+        assert not list(path.glob("*.tmp")), "temp files left behind"

@@ -18,7 +18,7 @@ from repro.errors import ReproError
 from repro.mft.context import clear_sweep_contexts
 from repro.mft.engine import MftNoiseAnalyzer
 from repro.noise.brute_force import brute_force_psd
-from repro.noise.solvers import SOLVERS, resolve_solver
+from repro.noise.solvers import DEFAULT_SOLVER, SOLVERS, resolve_solver
 
 GRID = np.linspace(100.0, 12e3, 8)
 
@@ -36,8 +36,14 @@ def analysis(rc_system):
 
 
 class TestResolveSolver:
-    def test_none_defaults_to_mft(self):
-        assert resolve_solver(None) == "mft"
+    def test_none_defaults_to_spectral_batch(self):
+        assert resolve_solver(None) == "spectral-batch"
+        assert resolve_solver(None) == DEFAULT_SOLVER
+
+    def test_none_without_context_is_the_per_omega_reference(self):
+        assert resolve_solver(None, cached=False) == "mft"
+        assert resolve_solver("spectral-batch", cached=False) \
+            == "spectral-batch"
 
     @pytest.mark.parametrize("name", SOLVERS)
     def test_known_names_resolve(self, name):
@@ -67,11 +73,30 @@ class TestSolverEquivalence:
         np.testing.assert_array_equal(default.psd, named.psd)
         assert named.info["solver"] == "mft"
 
+    def test_default_is_spectral_batch_bit_for_bit(self, analysis):
+        default = analysis.psd(GRID)
+        named = analysis.psd(GRID, solver="spectral-batch")
+        assert default.psd.tobytes() == named.psd.tobytes()
+        assert default.info["solver"] == "spectral-batch"
+        swept = analysis.psd_sweep(GRID)
+        assert swept.psd.tobytes() == analysis.psd_sweep(
+            GRID, solver="spectral-batch").psd.tobytes()
+        assert swept.info["executor"]["solver"] == "spectral-batch"
+
+    def test_uncached_default_is_the_per_omega_reference(self, rc_system):
+        # cache=False builds no sweep context: the reference oracle.
+        oracle = NoiseAnalysis(rc_system, segments_per_phase=16,
+                               cache=False)
+        assert oracle.psd(GRID).info["solver"] == "mft"
+        assert oracle.psd_sweep(GRID).info["executor"]["solver"] == "mft"
+        with pytest.raises(ReproError, match="spectral-batch"):
+            oracle.psd(GRID, solver="spectral-batch")
+
     def test_spectral_batch_matches_mft_values_and_masks(self, analysis):
         freqs = GRID.copy()
         freqs[2] = np.nan
         freqs[5] = np.inf
-        reference = analysis.psd(freqs)
+        reference = analysis.psd(freqs, solver="mft")
         spectral = analysis.psd(freqs, solver="spectral-batch")
         assert np.array_equal(np.isnan(spectral.psd),
                               np.isnan(reference.psd))
@@ -139,7 +164,8 @@ class TestSolverValidation:
     def test_executor_accepts_mft_alias(self, rc_system):
         from repro.mft.executor import SweepExecutor
         executor = SweepExecutor(backend="serial", solver="mft")
-        assert executor.solver is None
+        assert executor.solver == "mft"
+        assert SweepExecutor(backend="serial").solver == "spectral-batch"
         with pytest.raises(ReproError):
             SweepExecutor(backend="serial", solver="brute-force")
 

@@ -13,7 +13,16 @@ suite pins, against the uncached serial reference:
 for cache-on vs cache-off and for serial vs thread vs process backends,
 plus the headline acceptance check (64-point SC low-pass sweep,
 cached+parallel vs the seed serial-uncached path).
+
+The default solver is the frequency-batched kernel; an uncached analyzer
+has no sweep context and stays on the per-ω reference.  Where the two
+meet, :func:`_assert_equivalent` skips ``_SOLVE_RECORDS``: the same
+values, masks and failures, and the same findings apart from the INFO
+records of how each frequency was solved (one per ω on the per-ω path,
+one per sweep on the batched kernel).
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -27,16 +36,21 @@ REL_TOL = 1e-12
 BACKENDS = ["serial", "thread", "process"]
 
 
-def _severity_counts(report):
+def _severity_counts(report, skip=()):
     counts = {}
     for finding in report.findings:
+        if str(finding.severity) == "info" and finding.code in skip:
+            continue
         counts[str(finding.severity)] = counts.get(
             str(finding.severity), 0) + 1
     return counts
 
 
-def _assert_equivalent(reference, candidate, label):
-    """Values, NaN masks, failures, and severity counts must match."""
+def _assert_equivalent(reference, candidate, label, skip=()):
+    """Values, NaN masks, failures, and severity counts must match.
+
+    ``skip`` names INFO codes left out of the severity counts.
+    """
     ref_finite = np.isfinite(reference.psd)
     cand_finite = np.isfinite(candidate.psd)
     assert np.array_equal(ref_finite, cand_finite), (
@@ -50,9 +64,14 @@ def _assert_equivalent(reference, candidate, label):
     ref_failures = [(f.index, f.stage) for f in reference.failures]
     cand_failures = [(f.index, f.stage) for f in candidate.failures]
     assert ref_failures == cand_failures, f"{label}: failures differ"
-    assert (_severity_counts(reference.diagnostics)
-            == _severity_counts(candidate.diagnostics)), (
+    assert (_severity_counts(reference.diagnostics, skip)
+            == _severity_counts(candidate.diagnostics, skip)), (
         f"{label}: diagnostics severity counts differ")
+
+
+#: INFO codes recording a successful solve: one ``fallback-attempt``
+#: per ω on the per-ω path, one ``spectral-batch`` per batched sweep.
+_SOLVE_RECORDS = ("fallback-attempt", "spectral-batch")
 
 
 @pytest.fixture(params=["switched-rc", "sc-lowpass"])
@@ -71,8 +90,20 @@ class TestCacheEquivalence:
         system, grid = swept_system
         clear_sweep_contexts()
         reference = MftNoiseAnalyzer(system, cache=False).psd(grid)
-        cached = MftNoiseAnalyzer(system, cache=True).psd(grid)
+        cached = MftNoiseAnalyzer(system, cache=True).psd(grid,
+                                                          solver="mft")
         _assert_equivalent(reference, cached, "cache-on vs cache-off")
+
+    def test_default_matches_uncached_reference(self, swept_system):
+        system, grid = swept_system
+        clear_sweep_contexts()
+        reference = MftNoiseAnalyzer(system, cache=False).psd(grid)
+        assert reference.info["solver"] == "mft"
+        default = MftNoiseAnalyzer(system, cache=True).psd(grid)
+        assert default.info["solver"] == "spectral-batch"
+        _assert_equivalent(reference, default,
+                           "batched default vs per-ω reference",
+                           skip=_SOLVE_RECORDS)
 
     def test_cached_solver_controls_match(self, swept_system):
         # The lstsq/regularized path of the fast solve must also track
@@ -108,6 +139,20 @@ class TestBackendEquivalence:
                                        chunk_size=chunk)
             _assert_equivalent(reference, swept, f"chunk={chunk}")
 
+    def test_batch_findings_do_not_depend_on_chunk_size(self, rc_system):
+        # Each ω-block reports one spectral-batch finding; the executor
+        # folds them into one sweep-level finding with summed counts.
+        grid = np.linspace(100.0, 4e4, 16)
+        analyzer = MftNoiseAnalyzer(rc_system)
+        [reference] = analyzer.psd(grid).diagnostics.by_code(
+            "spectral-batch")
+        assert reference.data["n_batched"] == grid.size
+        for chunk in (1, 5, 64):
+            swept = analyzer.psd_sweep(grid, chunk_size=chunk)
+            found = swept.diagnostics.by_code("spectral-batch")
+            assert [f.data for f in found] == [reference.data], (
+                f"chunk={chunk}")
+
     def test_executor_rejects_unknown_backend(self):
         from repro.errors import ReproError
         with pytest.raises(ReproError, match="backend"):
@@ -126,7 +171,9 @@ class TestHeadlineAcceptance:
         seed = MftNoiseAnalyzer(lowpass_model.system, cache=False).psd(grid)
         fast = MftNoiseAnalyzer(lowpass_model.system, cache=True).psd_sweep(
             grid, parallel="thread")
-        _assert_equivalent(seed, fast, "cached+parallel vs seed serial")
+        assert fast.info["executor"]["solver"] == "spectral-batch"
+        _assert_equivalent(seed, fast, "cached+parallel vs seed serial",
+                           skip=_SOLVE_RECORDS)
 
 
 class _SlowChunkAnalyzer(MftNoiseAnalyzer):
@@ -136,10 +183,10 @@ class _SlowChunkAnalyzer(MftNoiseAnalyzer):
         super().__init__(system, **kwargs)
         self.delay = delay
 
-    def _sweep_raw(self, freqs, on_failure, budget, report):
-        import time
+    def _sweep_batched(self, freqs, on_failure, budget, report, start=0):
         time.sleep(self.delay)
-        return super()._sweep_raw(freqs, on_failure, budget, report)
+        return super()._sweep_batched(freqs, on_failure, budget, report,
+                                      start=start)
 
 
 class TestParallelBudget:
